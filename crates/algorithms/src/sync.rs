@@ -6,19 +6,33 @@
 //! a message-passing [`Protocol`] where each vertex broadcasts its state every
 //! round.
 //!
+//! Neighbor states live in one run-wide *last-heard column*: one slot per
+//! directed edge, in the engine's CSR slot order (vertex `v` owns slots
+//! `csr_offsets()[v] .. csr_offsets()[v + 1]`, one per port). The column is
+//! seeded with every neighbor's initial state, and each delivered broadcast
+//! overwrites its slot; a message that never arrives — from a halted,
+//! crashed or dropped sender — leaves the slot stale. `update` reads the
+//! vertex's own segment in place, so after setup the layer itself allocates
+//! nothing (cloning a state that owns heap data still does).
+//!
+//! A decided vertex keeps broadcasting its final state until it halts: in
+//! fault-free runs once every neighbor has decided, in faulty runs one round
+//! after deciding (a crashed neighbor would otherwise pin the whole run at
+//! the sweep budget).
+//!
 //! Round accounting: the reported complexity is the largest round in which
-//! any vertex *decided* its output. Vertices keep broadcasting their final
-//! state after deciding (processors in the LOCAL model never disappear;
-//! messages are free), and the engine run terminates one bookkeeping sweep
-//! after the last decision — that extra sweep is infrastructure, not
-//! algorithmic cost, and is excluded from the metric.
+//! any vertex *decided* its output. The engine run terminates one
+//! bookkeeping sweep after the last decision — that extra sweep is
+//! infrastructure, not algorithmic cost, and is excluded from the metric.
 
-use local_graphs::{Graph, PortId};
+use local_graphs::{Graph, Neighbor, PortId};
 use local_model::{
     Action, Breach, Budget, Engine, ExecSpec, GlobalParams, Mode, NodeInit, NodeIo, NodeProgram,
     Outcome, Protocol, SimError,
 };
 use rand::RngCore;
+use std::marker::PhantomData;
+use std::sync::Mutex;
 
 /// The result of one [`SyncAlgorithm::update`].
 #[derive(Debug, Clone)]
@@ -32,17 +46,33 @@ pub enum SyncStep<S, O> {
 
 /// Capabilities available inside [`SyncAlgorithm::update`].
 pub struct SyncCtx<'a> {
-    degree: usize,
     id: Option<u64>,
     params: &'a GlobalParams,
     rng: Option<&'a mut dyn RngCore>,
-    back_ports: &'a [PortId],
+    /// The vertex's adjacency row: its ports, in order.
+    neighbors: &'a [Neighbor],
 }
 
 impl<'a> SyncCtx<'a> {
+    /// The context of a vertex with adjacency row `neighbors` (`rng` in
+    /// RandLOCAL, `id` in DetLOCAL), for harnesses that call `update` directly.
+    pub fn new(
+        id: Option<u64>,
+        params: &'a GlobalParams,
+        rng: Option<&'a mut dyn RngCore>,
+        neighbors: &'a [Neighbor],
+    ) -> Self {
+        SyncCtx {
+            id,
+            params,
+            rng,
+            neighbors,
+        }
+    }
+
     /// Degree of this vertex.
     pub fn degree(&self) -> usize {
-        self.degree
+        self.neighbors.len()
     }
 
     /// Unique ID (DetLOCAL only).
@@ -78,7 +108,7 @@ impl<'a> SyncCtx<'a> {
     ///
     /// Panics if `p >= degree`.
     pub fn back_port(&self, p: PortId) -> PortId {
-        self.back_ports[p]
+        self.neighbors[p].back_port
     }
 }
 
@@ -120,93 +150,139 @@ pub struct SyncOutcome<O> {
     pub messages: u64,
 }
 
+/// A halting rule (see the module docs) and the broadcast it needs: a
+/// type parameter of the one node wrapper, chosen from `spec.faults`.
+trait Halting<S>: Send + Sync {
+    /// What a vertex broadcasts every round.
+    type Msg: Clone + Send + Sync;
+    /// This round's broadcast; `just_decided` if the vertex decided in it.
+    fn msg(state: S, just_decided: bool) -> Self::Msg;
+    /// The state a broadcast carries, and whether its sender decided in
+    /// the round that sent it.
+    fn open(msg: &Self::Msg) -> (&S, bool);
+    /// Halt one round after deciding, not once every neighbor has decided.
+    const AFTER_DECIDING: bool;
+}
+
+/// Fault-free: halt once every neighbor has decided. Broadcasts carry a
+/// "just decided" flag; with nothing dropped it arrives exactly once per
+/// neighbor, so counting undecided neighbors suffices.
+enum AllDecided {}
+
+impl<S: Clone + Send + Sync> Halting<S> for AllDecided {
+    type Msg = (S, bool);
+    const AFTER_DECIDING: bool = false;
+    fn msg(state: S, just_decided: bool) -> (S, bool) {
+        (state, just_decided)
+    }
+    fn open(msg: &(S, bool)) -> (&S, bool) {
+        (&msg.0, msg.1)
+    }
+}
+
+/// Faulty: halt one round after deciding. Broadcasts carry the state alone.
+enum AfterDeciding {}
+
+impl<S: Clone + Send + Sync> Halting<S> for AfterDeciding {
+    type Msg = S;
+    const AFTER_DECIDING: bool = true;
+    fn msg(state: S, _just_decided: bool) -> S {
+        state
+    }
+    fn open(msg: &S) -> (&S, bool) {
+        (msg, false)
+    }
+}
+
 /// Engine node wrapping a [`SyncAlgorithm`] vertex.
-pub struct SyncNode<'a, A: SyncAlgorithm> {
+struct SyncNode<'a, A: SyncAlgorithm, H> {
     algo: &'a A,
     state: A::State,
     decided: Option<(u32, A::Output)>,
-    back_ports: Vec<PortId>,
-    /// Last state heard per port. A neighbor that halted (its whole
-    /// neighborhood decided) stops transmitting, but its state is final —
-    /// the cache stands in for the silent final broadcasts.
-    heard: Vec<Option<(A::State, bool)>>,
+    /// This vertex's segment of the last-heard column, by port.
+    heard: &'a mut [A::State],
+    /// This vertex's adjacency row (the back ports [`SyncCtx`] exposes).
+    neighbors: &'a [Neighbor],
+    /// Neighbors not yet heard deciding.
+    undecided: usize,
+    halting: PhantomData<H>,
 }
 
-type SyncMsg<A> = (<A as SyncAlgorithm>::State, bool);
-
-impl<'a, A: SyncAlgorithm> NodeProgram for SyncNode<'a, A> {
-    type Msg = SyncMsg<A>;
+impl<'a, A: SyncAlgorithm, H: Halting<A::State>> NodeProgram for SyncNode<'a, A, H> {
+    type Msg = H::Msg;
     type Output = (A::Output, u32);
 
     fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
-        if round == 0 {
-            io.broadcast((self.state.clone(), false));
-            return Action::Continue;
-        }
-        let mut neighbor_states: Vec<A::State> = Vec::with_capacity(io.degree());
-        let mut all_neighbors_decided = true;
-        for p in 0..io.degree() {
-            if let Some((s, done)) = io.recv(p) {
-                self.heard[p] = Some((s.clone(), *done));
-            }
-            let (s, done) = self.heard[p]
-                .as_ref()
-                .expect("every sync node broadcasts in round 0");
-            neighbor_states.push(s.clone());
-            all_neighbors_decided &= *done;
-        }
-        if self.decided.is_none() {
-            let degree = io.degree();
-            let id = io.id();
-            let step = {
-                let mut ctx = SyncCtx {
-                    degree,
-                    id,
-                    params: io.params(),
-                    rng: if io.is_randomized() {
-                        Some(io.rng())
-                    } else {
-                        None
-                    },
-                    back_ports: &self.back_ports,
+        if round > 0 {
+            for (p, heard) in self.heard.iter_mut().enumerate() {
+                let Some(msg) = io.recv(p) else {
+                    continue;
                 };
-                self.algo
-                    .update(round, &mut ctx, &self.state, &neighbor_states)
-            };
-            match step {
-                SyncStep::Continue(s) => self.state = s,
-                SyncStep::Decide(s, o) => {
-                    self.state = s;
-                    self.decided = Some((round, o));
+                let (s, just_decided) = H::open(msg);
+                self.undecided -= usize::from(just_decided);
+                // A decided vertex never reads its segment again.
+                if self.decided.is_none() {
+                    heard.clone_from(s);
                 }
             }
-        } else if all_neighbors_decided {
-            let (r, o) = self.decided.clone().expect("checked above");
-            return Action::Halt((o, r));
+            if self.decided.is_none() {
+                let (id, params) = (io.id(), io.params());
+                let rng = io.is_randomized().then(|| io.rng());
+                let mut ctx = SyncCtx::new(id, params, rng, self.neighbors);
+                match self.algo.update(round, &mut ctx, &self.state, self.heard) {
+                    SyncStep::Continue(s) => self.state = s,
+                    SyncStep::Decide(s, o) => {
+                        self.state = s;
+                        self.decided = Some((round, o));
+                    }
+                }
+            } else if H::AFTER_DECIDING || self.undecided == 0 {
+                let (r, o) = self.decided.take().expect("checked above");
+                return Action::Halt((o, r));
+            }
         }
-        io.broadcast((self.state.clone(), self.decided.is_some()));
+        let just_decided = matches!(self.decided, Some((r, _)) if r == round);
+        io.broadcast(H::msg(self.state.clone(), just_decided));
         Action::Continue
     }
 }
 
-/// Protocol adapter for a [`SyncAlgorithm`].
-pub struct SyncProtocol<'a, A> {
+/// Protocol adapter for a [`SyncAlgorithm`] under halting rule `H`.
+struct SyncProtocol<'a, A: SyncAlgorithm, H> {
     algo: &'a A,
-    /// Per-vertex back-port tables (local input established in round one of
-    /// any real execution; see [`SyncCtx::back_port`]).
-    back_ports: Vec<Vec<PortId>>,
+    graph: &'a Graph,
+    /// What node creation consumes, one vertex at a time in vertex order
+    /// (the engine creates nodes sequentially).
+    setup: Mutex<Setup<'a, A::State>>,
+    halting: PhantomData<H>,
 }
 
-impl<'a, A: SyncAlgorithm> Protocol for SyncProtocol<'a, A> {
-    type Node = SyncNode<'a, A>;
+/// The initial states not yet moved into their nodes, and the part of the
+/// last-heard column not yet handed out.
+type Setup<'a, S> = (std::vec::IntoIter<S>, &'a mut [S]);
+
+impl<'a, A: SyncAlgorithm, H: Halting<A::State>> Protocol for SyncProtocol<'a, A, H> {
+    type Node = SyncNode<'a, A, H>;
 
     fn create(&self, init: &NodeInit<'_>) -> Self::Node {
+        let mut setup = self.setup.lock().expect("sync setup lock");
+        let (states, column) = &mut *setup;
+        assert_eq!(self.graph.n() - states.len(), init.node, "creation order");
+        let state = states.next().expect("one initial state per vertex");
+        if states.len() == 0 {
+            // The last node is created: free the staging buffer now.
+            *states = Vec::new().into_iter();
+        }
+        let (heard, rest) = std::mem::take(column).split_at_mut(init.degree);
+        *column = rest;
         SyncNode {
             algo: self.algo,
-            state: self.algo.init(init),
+            state,
             decided: None,
-            back_ports: self.back_ports[init.node].clone(),
-            heard: vec![None; init.degree],
+            heard,
+            neighbors: self.graph.neighbors(init.node),
+            undecided: init.degree,
+            halting: PhantomData,
         }
     }
 }
@@ -318,102 +394,11 @@ impl<O> SyncRun<O> {
     }
 }
 
-/// Engine node wrapping a [`SyncAlgorithm`] vertex for faulty runs.
-///
-/// Differs from [`SyncNode`] in two fault-model concessions:
-///
-/// * The last-heard cache is pre-seeded with every neighbor's *initial*
-///   state, so a dropped message means "stale state" rather than a panic —
-///   crash-stop neighbors simply freeze at their last delivered state.
-/// * A vertex halts one round after deciding (one final broadcast), instead
-///   of waiting for all neighbors to decide — a crashed neighbor would
-///   otherwise pin the whole run at the sweep budget.
-pub struct FaultySyncNode<'a, A: SyncAlgorithm> {
-    algo: &'a A,
-    state: A::State,
-    decided: Option<(u32, A::Output)>,
-    back_ports: Vec<PortId>,
-    /// Last state heard per port, seeded with the neighbor's initial state.
-    heard: Vec<A::State>,
-}
-
-impl<'a, A: SyncAlgorithm> NodeProgram for FaultySyncNode<'a, A> {
-    type Msg = A::State;
-    type Output = (A::Output, u32);
-
-    fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
-        if round == 0 {
-            io.broadcast(self.state.clone());
-            return Action::Continue;
-        }
-        for p in 0..io.degree() {
-            if let Some(s) = io.recv(p) {
-                self.heard[p] = s.clone();
-            }
-        }
-        if let Some((r, o)) = self.decided.clone() {
-            // The final state went out last round; nothing left to do.
-            return Action::Halt((o, r));
-        }
-        let step = {
-            let degree = io.degree();
-            let id = io.id();
-            let mut ctx = SyncCtx {
-                degree,
-                id,
-                params: io.params(),
-                rng: if io.is_randomized() {
-                    Some(io.rng())
-                } else {
-                    None
-                },
-                back_ports: &self.back_ports,
-            };
-            self.algo.update(round, &mut ctx, &self.state, &self.heard)
-        };
-        match step {
-            SyncStep::Continue(s) => self.state = s,
-            SyncStep::Decide(s, o) => {
-                self.state = s;
-                self.decided = Some((round, o));
-            }
-        }
-        io.broadcast(self.state.clone());
-        Action::Continue
-    }
-}
-
-/// Protocol adapter for faulty [`SyncAlgorithm`] runs.
-pub struct FaultySyncProtocol<'a, A: SyncAlgorithm> {
-    algo: &'a A,
-    graph: &'a Graph,
-    back_ports: Vec<Vec<PortId>>,
-    /// Every vertex's initial state, used to seed the last-heard caches.
-    init_states: Vec<A::State>,
-}
-
-impl<'a, A: SyncAlgorithm> Protocol for FaultySyncProtocol<'a, A> {
-    type Node = FaultySyncNode<'a, A>;
-
-    fn create(&self, init: &NodeInit<'_>) -> Self::Node {
-        let heard = self
-            .graph
-            .neighbors(init.node)
-            .iter()
-            .map(|nb| self.init_states[nb.node].clone())
-            .collect();
-        FaultySyncNode {
-            algo: self.algo,
-            state: self.init_states[init.node].clone(),
-            decided: None,
-            back_ports: self.back_ports[init.node].clone(),
-            heard,
-        }
-    }
-}
-
 /// Run a [`SyncAlgorithm`] on `g` under `mode`, as described by `spec` —
 /// the single sync-layer entry point.
+///
+/// Setup seeds the last-heard column with clones of the neighbors' initial
+/// states and moves each initial state into its node (see the module docs).
 ///
 /// The spec's knobs compose freely:
 ///
@@ -422,11 +407,10 @@ impl<'a, A: SyncAlgorithm> Protocol for FaultySyncProtocol<'a, A> {
 ///   through unchanged). An absent budget allows 100 000 rounds.
 /// * `spec.params` overrides the advertised global parameters (Theorems
 ///   3/6/8 pretend the graph is larger than it is).
-/// * `spec.faults` injects message drops, delays, and crash-stop nodes. The
-///   fault-tolerant node wrapper ([`FaultySyncNode`]) differs observably
-///   from the fault-free one ([`SyncNode`]) — pre-seeded last-heard caches,
-///   halting one round after deciding — so the fault-free case (`None`)
-///   runs [`SyncNode`], bit-identical to the pre-refactor `run_sync`.
+/// * `spec.faults` injects message drops, delays, and crash-stop nodes, and
+///   selects the halting rule: with `None` a decided vertex halts once
+///   every neighbor has decided; with `Some` plan (even a trivial one) it
+///   halts one round after deciding.
 /// * `spec.trace` receives the engine's per-round events (live counts,
 ///   message volume, crashes, fault-plane drops/delays, budget consumption).
 ///
@@ -446,10 +430,27 @@ pub fn run_sync<A: SyncAlgorithm>(
         max_rounds: budget.max_rounds.saturating_add(2),
         ..budget
     };
-    let back_ports: Vec<Vec<PortId>> = g
-        .vertices()
-        .map(|v| g.neighbors(v).iter().map(|nb| nb.back_port).collect())
-        .collect();
+    let states: Vec<A::State> = {
+        let ids: Option<Vec<u64>> = match &mode {
+            Mode::Deterministic { ids } => Some(ids.assign(g)),
+            Mode::Randomized { .. } => None,
+        };
+        g.vertices()
+            .map(|v| {
+                algo.init(&NodeInit {
+                    node: v,
+                    degree: g.degree(v),
+                    id: ids.as_ref().map(|ids| ids[v]),
+                    params: &params,
+                })
+            })
+            .collect()
+    };
+    let mut column: Vec<A::State> = Vec::with_capacity(g.csr_offsets()[g.n()]);
+    for v in g.vertices() {
+        column.extend(g.neighbors(v).iter().map(|nb| states[nb.node].clone()));
+    }
+    let setup = Mutex::new((states.into_iter(), column.as_mut_slice()));
     let engine_spec = ExecSpec {
         params: Some(params),
         budget: Some(engine_budget),
@@ -458,33 +459,26 @@ pub fn run_sync<A: SyncAlgorithm>(
         metrics: spec.metrics,
         shards: spec.shards,
     };
-    let engine = Engine::new(g, mode.clone());
+    let engine = Engine::new(g, mode);
     let run = match spec.faults {
-        None => engine.execute(&engine_spec, &SyncProtocol { algo, back_ports }),
-        Some(_) => {
-            let ids: Option<Vec<u64>> = match &mode {
-                Mode::Deterministic { ids } => Some(ids.assign(g)),
-                Mode::Randomized { .. } => None,
-            };
-            let init_states: Vec<A::State> = g
-                .vertices()
-                .map(|v| {
-                    algo.init(&NodeInit {
-                        node: v,
-                        degree: g.degree(v),
-                        id: ids.as_ref().map(|ids| ids[v]),
-                        params: &params,
-                    })
-                })
-                .collect();
-            let protocol = FaultySyncProtocol {
+        None => engine.execute(
+            &engine_spec,
+            &SyncProtocol {
                 algo,
                 graph: g,
-                back_ports,
-                init_states,
-            };
-            engine.execute(&engine_spec, &protocol)
-        }
+                setup,
+                halting: PhantomData::<AllDecided>,
+            },
+        ),
+        Some(_) => engine.execute(
+            &engine_spec,
+            &SyncProtocol {
+                algo,
+                graph: g,
+                setup,
+                halting: PhantomData::<AfterDeciding>,
+            },
+        ),
     };
     SyncRun {
         outcomes: run

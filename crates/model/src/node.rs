@@ -121,10 +121,14 @@ impl<'a, M: Clone> NodeIo<'a, M> {
         self.outbox[p] = Some(msg);
     }
 
-    /// Send a copy of `msg` on every port.
+    /// Send `msg` on every port: a clone on each port but the last, which
+    /// receives `msg` itself (`degree − 1` clones; none at degree 0 or 1).
     pub fn broadcast(&mut self, msg: M) {
-        for p in 0..self.degree {
-            self.outbox[p] = Some(msg.clone());
+        if let Some((last, rest)) = self.outbox[..self.degree].split_last_mut() {
+            for slot in rest {
+                *slot = Some(msg.clone());
+            }
+            *last = Some(msg);
         }
     }
 
@@ -174,6 +178,36 @@ mod tests {
         assert!(!io.is_randomized());
         let _ = io;
         assert_eq!(outbox, vec![Some(3), Some(3)]);
+    }
+
+    /// Counts its clones through a shared counter.
+    struct Counted<'c>(&'c std::cell::Cell<usize>);
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(self.0)
+        }
+    }
+
+    #[test]
+    fn broadcast_clones_degree_minus_one_times() {
+        let params = GlobalParams { n: 8, delta: 5 };
+        for degree in 0..=5 {
+            let clones = std::cell::Cell::new(0);
+            let inbox: Vec<Option<Counted<'_>>> = (0..degree).map(|_| None).collect();
+            let mut outbox: Vec<Option<Counted<'_>>> = (0..degree).map(|_| None).collect();
+            let mut io = NodeIo {
+                degree,
+                id: None,
+                params: &params,
+                inbox: &inbox,
+                outbox: &mut outbox,
+                rng: None,
+            };
+            io.broadcast(Counted(&clones));
+            assert_eq!(clones.get(), degree.saturating_sub(1), "degree {degree}");
+            assert!(outbox.iter().all(Option::is_some), "degree {degree}");
+        }
     }
 
     #[test]
