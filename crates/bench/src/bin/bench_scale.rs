@@ -10,7 +10,14 @@
 //! ```text
 //! bench_scale --workload flood --n 1000000 --repeat 5
 //! bench_scale --workload luby  --n 10000000 --d 3 --shards 4
+//! bench_scale --workload tree-flood --n 1000000 --shards 2
 //! ```
+//!
+//! `flood` runs on a cycle and `luby` on a circulant, both cut by the shards
+//! into contiguous runs that almost no edge crosses. `tree-flood` runs the
+//! same flood on the BFS-ordered complete tree of maximum degree 9 with at
+//! least `--n` vertices, where most edges cross the cut between shards.
+//! `--d` sets the circulant's degree and only `luby` reads it.
 
 use local_algorithms::mis::{luby_mis, luby_mis_with_shards, MisOutcome};
 use local_graphs::{gen, Graph};
@@ -168,8 +175,9 @@ fn main() {
     let gen_start = Instant::now();
     let g = match workload.as_str() {
         "flood" => gen::stream::cycle(n),
+        "tree-flood" => gen::stream::complete_dary_tree(n, 9),
         "luby" => gen::stream::circulant(n, d).expect("feasible (n, d)"),
-        other => panic!("unknown workload {other:?} (expected flood|luby)"),
+        other => panic!("unknown workload {other:?} (expected flood|tree-flood|luby)"),
     };
     let gen_ns = gen_start.elapsed().as_nanos();
 
@@ -178,8 +186,8 @@ fn main() {
     for _ in 0..repeat {
         let t = Instant::now();
         let r = match workload.as_str() {
-            "flood" => run_flood(&g, shards, horizon),
-            _ => run_luby(&g, shards, seed),
+            "luby" => run_luby(&g, shards, seed),
+            _ => run_flood(&g, shards, horizon),
         };
         times.push(t.elapsed().as_nanos() as u64);
         if let Some(prev) = &result {

@@ -131,38 +131,50 @@ struct NodeColumns<N: NodeProgram> {
     sent: Vec<u64>,
 }
 
-/// Vertex boundaries cutting `0..n` into `k` shards balanced by *directed
-/// edge slots* (each shard owns ≈ `total/k` outbox slots), so a hub-heavy
-/// prefix doesn't starve the other shards. Falls back to an even vertex
-/// split on edgeless graphs. Boundaries are monotone; empty shards are legal.
+/// Cost of stepping one vertex (liveness check, outbox clear, `step` call)
+/// in units of one directed-edge slot (one send, one read). Measured by
+/// timing each shard's stepping in the 2-shard Theorem 9 / 10 runs on the
+/// Δ = 9 complete tree (42k vertices, 2-core x86-64): a slot-only cut gave
+/// the leaf shard 2× the hub shard's time, 1 left it 1.2× slower, 2 evened
+/// the shards to within 15%, and 3 or 4 overshot with no change in wall time.
+const VERTEX_COST: usize = 2;
+
+/// Vertex boundaries cutting `0..n` into `k` shards of about equal estimated
+/// step cost, [`VERTEX_COST`] per vertex plus one per outbox slot, so
+/// neither a hub-heavy prefix nor a leaf-heavy suffix starves the other
+/// shards. Boundaries are monotone; empty shards are legal.
 fn shard_bounds(offsets: &[usize], k: usize) -> Vec<usize> {
     let n = offsets.len() - 1;
-    let total = offsets[n];
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0usize);
-    for s in 1..k {
-        let b = if total == 0 {
-            n * s / k
-        } else {
-            // First vertex whose starting slot reaches the s-th slot quantile.
-            offsets.partition_point(|&o| o < total * s / k)
-        };
-        bounds.push(b.max(bounds[s - 1]).min(n));
-    }
+    // Estimated cost of vertices `0..v`; strictly increasing in `v`.
+    let cost = |v: usize| VERTEX_COST * v + offsets[v];
+    let mut v = 0;
+    let mut bounds: Vec<usize> = (0..k)
+        .map(|s| {
+            // First vertex whose prefix cost reaches the s-th cost quantile.
+            while cost(v) < cost(n) * s / k {
+                v += 1;
+            }
+            v
+        })
+        .collect();
     bounds.push(n);
     bounds
 }
 
-/// Step the vertices of `range` for one sweep. All column and arena slices
-/// are shard-relative: columns start at `range.start`, message arenas at
-/// `offsets[range.start]`. `crashed` is global (and empty when the plan has
-/// no crashes). Returns `(messages sent, nodes halted)` for the chunk.
+/// Step the vertices of `range` for one sweep. Column slices and `out` are
+/// shard-relative: columns start at `range.start`, `out` at
+/// `offsets[range.start]`. `prev`, `partner` and `crashed` are global
+/// (`crashed` is empty when the plan has no crashes). Returns
+/// `(messages sent, nodes halted)` for the chunk.
 ///
 /// This is the one stepping routine — the serial path calls it over `0..n`
 /// and each shard worker over its own cut, so the two orders are
-/// bit-identical by construction: every node reads only its own inbox
-/// segment and pre-seeded RNG stream, and writes only its own column cells
-/// and outbox segment.
+/// bit-identical by construction: every node reads only the shared,
+/// read-only `prev` buffer and its own pre-seeded RNG stream, and writes
+/// only its own column cells and `out` segment. Every vertex's `out`
+/// segment is cleared first (a halted vertex's only while it may still hold
+/// something), so the buffer holds exactly this sweep's sends when the
+/// stepping ends.
 #[allow(clippy::too_many_arguments)]
 fn step_span<N: NodeProgram>(
     round: u32,
@@ -176,7 +188,8 @@ fn step_span<N: NodeProgram>(
     rngs: &mut [ChaCha8Rng],
     done: &mut [Option<(u32, N::Output)>],
     sent: &mut [u64],
-    inbox: &[Option<N::Msg>],
+    prev: &[Option<N::Msg>],
+    partner: &[usize],
     out: &mut [Option<N::Msg>],
 ) -> (u64, u64) {
     let base = offsets[range.start];
@@ -184,16 +197,23 @@ fn step_span<N: NodeProgram>(
     let mut sent_total = 0u64;
     let mut halts = 0u64;
     for (i, v) in range.enumerate() {
+        let (o0, o1) = (offsets[v] - base, offsets[v + 1] - base);
+        // A vertex that halted at round `r` last sent at sweep `r`, and the
+        // fault filter may land a delayed message of its in sweep `r + 1`'s
+        // buffer, which is rewritten at sweep `r + 3`: from then on neither
+        // buffer holds anything of it, and its segment needs no clearing.
+        if !matches!(&done[i], Some((r, _)) if round - r > 3) {
+            out[o0..o1].fill_with(|| None);
+        }
         if done[i].is_some() || (has_crashes && crashed[v]) {
             continue;
         }
-        let (o0, o1) = (offsets[v] - base, offsets[v + 1] - base);
         let action = {
             let mut io = NodeIo {
-                degree: o1 - o0,
                 id: ids.map(|ids| ids[v]),
                 params,
-                inbox: &inbox[o0..o1],
+                prev,
+                partner: &partner[offsets[v]..offsets[v + 1]],
                 outbox: &mut out[o0..o1],
                 rng: if randomized { Some(&mut rngs[i]) } else { None },
             };
@@ -214,23 +234,25 @@ fn step_span<N: NodeProgram>(
 ///
 /// One slot per *directed* edge, laid out by the adjacency structure: the
 /// outbox of vertex `v` is the contiguous segment
-/// `offsets[v] .. offsets[v + 1]`, one slot per port. Two flat buffers play
-/// complementary roles each sweep: nodes write sends into `out`, read
-/// receives from `inbox`, and between sweeps every sent message is *moved*
-/// (never cloned) to its receiver slot. Because the directed edge `(v, p)`
-/// and its reverse `(u, q)` (where `u` is the neighbor of `v` on port `p`
-/// and `q` the back port) occupy partner slots, delivery is the fixed
-/// permutation `inbox[i] = out[partner[i]].take()` — the `take` doubles as
-/// the clear of the out buffer, so after setup the plane never allocates.
+/// `offsets[v] .. offsets[v + 1]`, one slot per port. Two flat send buffers
+/// trade roles each sweep: nodes write this sweep's sends into `out` and
+/// read last sweep's sends from `prev`, in place. Because the directed edge
+/// `(v, p)` and its reverse `(u, q)` (where `u` is the neighbor of `v` on
+/// port `p` and `q` the back port) occupy partner slots, `v` hears on port
+/// `p` whatever `prev[partner[offsets[v] + p]]` holds. Nothing is moved or
+/// copied between sweeps: delivery is a swap of the two buffers (preceded,
+/// under drop or delay faults, by an in-place filter of `out`), so after
+/// setup the plane never allocates, and a shard reading a neighbour in
+/// another shard needs no export and no drain.
 struct MessagePlane<'g, M> {
     /// CSR offsets, borrowed straight from the graph's adjacency: vertex `v`
     /// owns slots `offsets[v] .. offsets[v + 1]`.
     offsets: &'g [usize],
     /// `partner[offsets[v] + p] = offsets[u] + q` for the reverse edge.
     partner: Vec<usize>,
-    /// Receive buffer: after delivery, `v`'s inbox by port.
-    inbox: Vec<Option<M>>,
-    /// Send buffer: `v`'s outbox by port, all `None` between deliveries.
+    /// Last sweep's sends, as delivered; read-only while nodes step.
+    prev: Vec<Option<M>>,
+    /// This sweep's sends: each vertex clears and writes its own segment.
     out: Vec<Option<M>>,
     /// Messages deferred one round by delay faults (allocated only when the
     /// fault plan can delay).
@@ -251,28 +273,28 @@ impl<'g, M> MessagePlane<'g, M> {
         MessagePlane {
             offsets,
             partner,
-            inbox: (0..total).map(|_| None).collect(),
+            prev: (0..total).map(|_| None).collect(),
             out: (0..total).map(|_| None).collect(),
             delayed: Vec::new(),
         }
     }
 
-    /// Move every message sent this sweep to its receiver's inbox slot (and
-    /// drop the now-consumed previous inbox). Leaves `out` all `None`.
-    fn deliver(&mut self) {
-        for (i, &j) in self.partner.iter().enumerate() {
-            self.inbox[i] = self.out[j].take();
+    /// Deliver this sweep's sends: filter them through the fault plan's
+    /// drops and delays (when it has any), then make them next sweep's
+    /// `prev`. `round` is the sweep that produced the messages.
+    fn deliver(&mut self, plan: &FaultPlan, round: u32, dropped: &mut u64, delayed: &mut u64) {
+        if plan.has_drops() || plan.has_delays() {
+            self.filter_faults(plan, round, dropped, delayed);
         }
+        std::mem::swap(&mut self.prev, &mut self.out);
     }
 
-    /// [`deliver`](Self::deliver) through the fault plan: each sent message
-    /// may be dropped or deferred one round, per the plan's per-round
-    /// decision stream. `round` is the sweep that produced the messages.
-    ///
-    /// Runs single-threaded in ascending slot order, so the fault trace is a
-    /// pure function of `(plan, round, message pattern)` — identical whether
-    /// the nodes were stepped sequentially or in parallel.
-    fn deliver_faulty(
+    /// Rewrite `out` in place into what each receiver hears: each sent
+    /// message may be dropped or deferred one round, per the plan's
+    /// per-round decision stream. Runs single-threaded in ascending
+    /// *receiver*-slot order, so the fault trace is a pure function of
+    /// `(plan, round, message pattern)`, however the nodes were stepped.
+    fn filter_faults(
         &mut self,
         plan: &FaultPlan,
         round: u32,
@@ -281,14 +303,11 @@ impl<'g, M> MessagePlane<'g, M> {
     ) {
         let drops = plan.has_drops();
         let delays = plan.has_delays();
-        if !drops && !delays {
-            self.deliver();
-            return;
-        }
         if delays && self.delayed.is_empty() {
             self.delayed = (0..self.partner.len()).map(|_| None).collect();
         }
         let mut rng = plan.round_rng(round);
+        // `partner` is an involution, so `j` visits every slot exactly once.
         for (i, &j) in self.partner.iter().enumerate() {
             // A message delayed from the previous exchange arrives now,
             // unless a fresher on-time message supersedes it below.
@@ -306,7 +325,7 @@ impl<'g, M> MessagePlane<'g, M> {
                     incoming = Some(m);
                 }
             }
-            self.inbox[i] = incoming;
+            self.out[j] = incoming;
         }
     }
 }
@@ -319,7 +338,7 @@ impl<'g, M> MessagePlane<'g, M> {
 /// bit-identical to sequential execution — and invariant across shard
 /// counts — because every node's randomness comes from its own pre-seeded
 /// stream, nodes write only their own column cells and outbox segment, and
-/// each inbox slot has exactly one writer per exchange.
+/// the previous exchange's buffer is read-only while any node steps.
 #[derive(Debug)]
 pub struct Engine<'g> {
     graph: &'g Graph,
@@ -522,10 +541,6 @@ impl<'g> Engine<'g> {
         } else {
             Vec::new()
         };
-        // Without drops or delays every shard can deliver its own inbox as
-        // soon as its own stepping is done (it only takes from its own out
-        // segment), exporting cross-shard messages for the serial drain.
-        let eager = !faults.has_drops() && !faults.has_delays();
 
         let has_crashes = faults.has_crashes();
         let mut crashed: Vec<bool> = vec![false; if has_crashes { n } else { 0 }];
@@ -603,7 +618,8 @@ impl<'g> Engine<'g> {
             let ids_ref = ids.as_deref();
             let crashed_ref = &crashed[..];
 
-            let mut delivered_eagerly = false;
+            let partner = &plane.partner[..];
+            let prev = &plane.prev[..];
             let (sweep_sent, sweep_halts) = if shards == 1 {
                 step_span(
                     round,
@@ -617,26 +633,24 @@ impl<'g> Engine<'g> {
                     &mut cols.rngs,
                     &mut cols.done,
                     &mut cols.sent,
-                    &plane.inbox,
+                    prev,
+                    partner,
                     &mut plane.out,
                 )
             } else {
                 // Each shard steps its own vertex cut against its own column
-                // and arena sub-slices; when `eager`, it then delivers its
-                // own inbox (taking only from its own out segment) and
-                // exports cross-shard messages. Every inbox slot has exactly
-                // one writer per phase, so the result is bit-identical to the
-                // serial order regardless of shard count or thread timing.
-                let partner = &plane.partner[..];
+                // and `out` sub-slices, reading neighbours (in any shard)
+                // from the shared `prev`. No slot has two writers, so the
+                // result is bit-identical to the serial order regardless of
+                // shard count or thread timing.
                 let randomized = !cols.rngs.is_empty();
-                let (sent, halts, xfers) = std::thread::scope(|scope| {
+                std::thread::scope(|scope| {
                     let mut handles = Vec::with_capacity(shards);
                     let mut states_rest = cols.states.as_mut_slice();
                     let mut rngs_rest = cols.rngs.as_mut_slice();
                     let mut done_rest = cols.done.as_mut_slice();
                     let mut sent_rest = cols.sent.as_mut_slice();
                     let mut out_rest = plane.out.as_mut_slice();
-                    let mut inbox_rest = plane.inbox.as_mut_slice();
                     for s in 0..shards {
                         let (start, end) = (bounds[s], bounds[s + 1]);
                         let len = end - start;
@@ -649,14 +663,10 @@ impl<'g> Engine<'g> {
                         done_rest = r;
                         let (sent_chunk, r) = sent_rest.split_at_mut(len);
                         sent_rest = r;
-                        let slots_len = offsets[end] - offsets[start];
-                        let (out_chunk, r) = out_rest.split_at_mut(slots_len);
+                        let (out_chunk, r) = out_rest.split_at_mut(offsets[end] - offsets[start]);
                         out_rest = r;
-                        let (inbox_chunk, r) = inbox_rest.split_at_mut(slots_len);
-                        inbox_rest = r;
                         handles.push(scope.spawn(move || {
-                            let (base, end_off) = (offsets[start], offsets[end]);
-                            let (sent, halts) = step_span(
+                            step_span(
                                 round,
                                 start..end,
                                 offsets,
@@ -668,61 +678,25 @@ impl<'g> Engine<'g> {
                                 rngs_chunk,
                                 done_chunk,
                                 sent_chunk,
-                                inbox_chunk,
+                                prev,
+                                partner,
                                 out_chunk,
-                            );
-                            let mut xfer: Vec<(usize, <P::Node as NodeProgram>::Msg)> = Vec::new();
-                            if eager {
-                                // Intra-shard delivery: this shard's out
-                                // segment is final once its stepping is done,
-                                // so no barrier is needed before taking from
-                                // it. Foreign-partner slots get `None` now
-                                // and their message (if any) in the drain.
-                                for li in 0..inbox_chunk.len() {
-                                    let j = partner[base + li];
-                                    inbox_chunk[li] = if j >= base && j < end_off {
-                                        out_chunk[j - base].take()
-                                    } else {
-                                        None
-                                    };
-                                }
-                                // Whatever survives in `out` has a foreign
-                                // partner (delivery is an involution): export
-                                // it with its destination inbox slot.
-                                for lj in 0..out_chunk.len() {
-                                    if let Some(m) = out_chunk[lj].take() {
-                                        xfer.push((partner[base + lj], m));
-                                    }
-                                }
-                            }
-                            (sent, halts, xfer)
+                            )
                         }));
                     }
                     let mut sent = 0u64;
                     let mut halts = 0u64;
-                    let mut xfers = Vec::with_capacity(shards);
                     for h in handles {
                         match h.join() {
-                            Ok((s, hl, x)) => {
+                            Ok((s, hl)) => {
                                 sent += s;
                                 halts += hl;
-                                xfers.push(x);
                             }
                             Err(payload) => std::panic::resume_unwind(payload),
                         }
                     }
-                    (sent, halts, xfers)
-                });
-                if eager {
-                    // Serial drain of cross-shard messages: each inbox slot
-                    // is written at most once (its unique sender), so order
-                    // does not matter and the result is deterministic.
-                    for (i, m) in xfers.into_iter().flatten() {
-                        plane.inbox[i] = Some(m);
-                    }
-                    delivered_eagerly = true;
-                }
-                (sent, halts)
+                    (sent, halts)
+                })
             };
 
             messages_per_round.push(sweep_sent);
@@ -740,8 +714,8 @@ impl<'g> Engine<'g> {
                         message_breach = true;
                     }
                 }
-                if !message_breach && !delivered_eagerly {
-                    plane.deliver_faulty(faults, round, &mut dropped, &mut delayed);
+                if !message_breach {
+                    plane.deliver(faults, round, &mut dropped, &mut delayed);
                 }
             }
             if let Some(tr) = trace {
@@ -1140,7 +1114,7 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        // A graph larger than PAR_THRESHOLD exercises the rayon path; the
+        // A graph larger than PAR_THRESHOLD exercises the sharded path; the
         // same protocol on a small graph exercises the sequential path. Both
         // must be reproducible under the same seed.
         let g = gen::cycle(PAR_THRESHOLD + 10);
@@ -1351,6 +1325,52 @@ mod tests {
         // The round-0 messages arrive one round late: heard at round 2.
         assert_eq!(run.outcomes[0].output(), Some(&(2, 1)));
         assert_eq!(run.outcomes[1].output(), Some(&(2, 0)));
+    }
+
+    #[test]
+    fn halted_sender_is_heard_exactly_once() {
+        // Vertex 0 sends once and halts at round 0; vertex 1 listens for 8
+        // rounds and records when it hears something. The message must
+        // arrive once (at round 1 on time, at round 2 when delayed) and
+        // never again from a stale send buffer.
+        struct Once {
+            sender: bool,
+            heard: Vec<u32>,
+        }
+        impl NodeProgram for Once {
+            type Msg = ();
+            type Output = Vec<u32>;
+            fn step(&mut self, round: u32, io: &mut NodeIo<'_, ()>) -> Action<Vec<u32>> {
+                if self.sender {
+                    io.broadcast(());
+                    return Action::Halt(Vec::new());
+                }
+                if io.recv(0).is_some() {
+                    self.heard.push(round);
+                }
+                if round >= 8 {
+                    Action::Halt(std::mem::take(&mut self.heard))
+                } else {
+                    Action::Continue
+                }
+            }
+        }
+        struct OnceProtocol;
+        impl Protocol for OnceProtocol {
+            type Node = Once;
+            fn create(&self, init: &NodeInit<'_>) -> Once {
+                Once {
+                    sender: init.node == 0,
+                    heard: Vec::new(),
+                }
+            }
+        }
+        let g = gen::path(2);
+        let delay = FaultPlan::sample(&g, &FaultSpec::none().with_delay(1.0), 1);
+        for (plan, heard_at) in [(FaultPlan::none(), 1), (delay, 2)] {
+            let run = Engine::new(&g, Mode::deterministic()).exec_faulty(&OnceProtocol, &plan);
+            assert_eq!(run.outcomes[1].output(), Some(&vec![heard_at]));
+        }
     }
 
     #[test]
@@ -1584,9 +1604,9 @@ mod tests {
 
     #[test]
     fn sharded_faulty_run_matches_serial() {
-        // Crashes keep the eager path; drops/delays force the serial
-        // fault-delivery path under sharded stepping. Both must agree with
-        // the fully serial engine in every observable.
+        // Crashes only silence nodes; drops/delays add the serial in-place
+        // fault filter after sharded stepping. Both must agree with the
+        // fully serial engine in every observable.
         let g = gen::cycle(20);
         let mut crash = vec![None; 20];
         crash[3] = Some(0);
@@ -1651,14 +1671,33 @@ mod tests {
 
     #[test]
     fn shard_bounds_are_monotone_and_cover() {
-        let g = gen::star(9); // skewed degrees: hub has 8 slots
-        for k in [1usize, 2, 3, 8, 9] {
-            let b = shard_bounds(g.csr_offsets(), k);
-            assert_eq!(b.len(), k + 1);
-            assert_eq!(b[0], 0);
-            assert_eq!(b[k], 9);
-            for w in b.windows(2) {
-                assert!(w[0] <= w[1]);
+        // Skewed degrees: a star's hub has all the slots; a BFS-ordered
+        // complete tree puts its hubs first and its leaves (a large majority
+        // of the vertices, one slot each) last.
+        for g in [
+            gen::star(9),
+            gen::star(1000),
+            gen::complete_dary_tree(2000, 9),
+        ] {
+            let n = g.n();
+            let offsets = g.csr_offsets();
+            let cost = |a: usize, b: usize| VERTEX_COST * (b - a) + offsets[b] - offsets[a];
+            let heaviest = (0..n).map(|v| cost(v, v + 1)).max().unwrap_or(0);
+            for k in [1usize, 2, 3, 8, 9] {
+                let b = shard_bounds(offsets, k);
+                assert_eq!(b.len(), k + 1);
+                assert_eq!(b[0], 0);
+                assert_eq!(b[k], n);
+                let fair = cost(0, n) / k;
+                for w in b.windows(2) {
+                    assert!(w[0] <= w[1]);
+                    let shard = cost(w[0], w[1]);
+                    assert!(
+                        shard.abs_diff(fair) <= heaviest,
+                        "n = {n}, k = {k}: shard {w:?} costs {shard}, fair share {fair}, \
+                         heaviest vertex {heaviest}"
+                    );
+                }
             }
         }
     }

@@ -17,7 +17,7 @@ pub enum Action<O> {
 /// The algorithm run by every vertex, as a state machine stepped once per
 /// round.
 ///
-/// `step(0, …)` is called before any communication (the inbox is empty);
+/// `step(0, …)` is called before any communication (nothing is received);
 /// `step(k, …)` for `k ≥ 1` sees the messages sent in step `k − 1`. A node
 /// that halts at step `k` has therefore used exactly `k` communication
 /// rounds — the engine reports the maximum over all nodes as the run's round
@@ -28,8 +28,8 @@ pub trait NodeProgram {
     /// Final output of a node (the label in an LCL solution).
     type Output: Clone + Send;
 
-    /// Execute one round: read the inbox, update state, write the outbox,
-    /// decide whether to halt.
+    /// Execute one round: read what the last exchange delivered, update
+    /// state, write the outbox, decide whether to halt.
     fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output>;
 }
 
@@ -62,14 +62,18 @@ pub struct NodeInit<'a> {
     pub params: &'a GlobalParams,
 }
 
-/// Per-round I/O handle: the inbox from the previous exchange, the outbox for
-/// this one, and the model capabilities (ID / randomness).
+/// Per-round I/O handle: the messages the previous exchange delivered, the
+/// outbox for this one, and the model capabilities (ID / randomness).
+///
+/// There is no per-node inbox: port `p` reads `prev[partner[p]]` in place,
+/// where `prev` is the whole previous-sweep send buffer (shared, read-only)
+/// and `partner[p]` the neighbour's send slot on the reverse edge.
 #[derive(Debug)]
 pub struct NodeIo<'a, M> {
-    pub(crate) degree: usize,
     pub(crate) id: Option<u64>,
     pub(crate) params: &'a GlobalParams,
-    pub(crate) inbox: &'a [Option<M>],
+    pub(crate) prev: &'a [Option<M>],
+    pub(crate) partner: &'a [usize],
     pub(crate) outbox: &'a mut [Option<M>],
     pub(crate) rng: Option<&'a mut ChaCha8Rng>,
 }
@@ -77,7 +81,7 @@ pub struct NodeIo<'a, M> {
 impl<'a, M: Clone> NodeIo<'a, M> {
     /// Degree of this vertex (number of ports).
     pub fn degree(&self) -> usize {
-        self.degree
+        self.partner.len()
     }
 
     /// Global parameters known to every vertex.
@@ -100,15 +104,15 @@ impl<'a, M: Clone> NodeIo<'a, M> {
     ///
     /// Panics if `p >= degree`.
     pub fn recv(&self, p: PortId) -> Option<&M> {
-        self.inbox[p].as_ref()
+        self.prev[self.partner[p]].as_ref()
     }
 
     /// Iterate over `(port, message)` for all ports that received a message.
     pub fn received(&self) -> impl Iterator<Item = (PortId, &M)> {
-        self.inbox
+        self.partner
             .iter()
             .enumerate()
-            .filter_map(|(p, m)| m.as_ref().map(|m| (p, m)))
+            .filter_map(|(p, &j)| self.prev[j].as_ref().map(|m| (p, m)))
     }
 
     /// Send `msg` on port `p` this round (overwrites an earlier send on the
@@ -124,7 +128,7 @@ impl<'a, M: Clone> NodeIo<'a, M> {
     /// Send `msg` on every port: a clone on each port but the last, which
     /// receives `msg` itself (`degree − 1` clones; none at degree 0 or 1).
     pub fn broadcast(&mut self, msg: M) {
-        if let Some((last, rest)) = self.outbox[..self.degree].split_last_mut() {
+        if let Some((last, rest)) = self.outbox.split_last_mut() {
             for slot in rest {
                 *slot = Some(msg.clone());
             }
@@ -158,13 +162,14 @@ mod tests {
     #[test]
     fn io_send_recv_roundtrip() {
         let params = GlobalParams { n: 3, delta: 2 };
-        let inbox = vec![Some(7u32), None];
+        // Port 0 reads slot 2, port 1 reads slot 0.
+        let prev = vec![None, Some(8u32), Some(7)];
         let mut outbox = vec![None, None];
         let mut io = NodeIo {
-            degree: 2,
             id: Some(5),
             params: &params,
-            inbox: &inbox,
+            prev: &prev,
+            partner: &[2, 0],
             outbox: &mut outbox,
             rng: None,
         };
@@ -194,13 +199,14 @@ mod tests {
         let params = GlobalParams { n: 8, delta: 5 };
         for degree in 0..=5 {
             let clones = std::cell::Cell::new(0);
-            let inbox: Vec<Option<Counted<'_>>> = (0..degree).map(|_| None).collect();
+            let prev: Vec<Option<Counted<'_>>> = (0..degree).map(|_| None).collect();
+            let partner: Vec<usize> = (0..degree).collect();
             let mut outbox: Vec<Option<Counted<'_>>> = (0..degree).map(|_| None).collect();
             let mut io = NodeIo {
-                degree,
                 id: None,
                 params: &params,
-                inbox: &inbox,
+                prev: &prev,
+                partner: &partner,
                 outbox: &mut outbox,
                 rng: None,
             };
@@ -214,13 +220,12 @@ mod tests {
     #[should_panic(expected = "model violation")]
     fn rng_in_det_mode_panics() {
         let params = GlobalParams { n: 1, delta: 0 };
-        let inbox: Vec<Option<u32>> = vec![];
         let mut outbox: Vec<Option<u32>> = vec![];
         let mut io = NodeIo {
-            degree: 0,
             id: Some(0),
             params: &params,
-            inbox: &inbox,
+            prev: &[],
+            partner: &[],
             outbox: &mut outbox,
             rng: None,
         };

@@ -88,6 +88,8 @@ where
     let mut live_per_round: Vec<usize> = Vec::new();
     let mut messages_per_round: Vec<u64> = Vec::new();
     let mut prev_out: Vec<Vec<Option<<P::Node as NodeProgram>::Msg>>> = Vec::new();
+    // Each node reads its own cloned inbox, so port `p` reads inbox slot `p`.
+    let identity: Vec<usize> = (0..g.max_degree()).collect();
 
     while live > 0 {
         if sweep >= max_rounds {
@@ -132,10 +134,10 @@ where
                 (0..deg).map(|_| None).collect();
             let action = {
                 let mut io = NodeIo {
-                    degree: deg,
                     id: slot.id,
                     params,
-                    inbox: &inbox,
+                    prev: &inbox,
+                    partner: &identity[..deg],
                     outbox: &mut out,
                     rng: slot.rng.as_mut(),
                 };

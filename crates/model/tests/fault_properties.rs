@@ -9,6 +9,9 @@
 //! 2. A fixed `fault_seed` replays the identical crash/drop/delay trace no
 //!    matter how the nodes are stepped: the sequential path and the
 //!    scoped-thread parallel path must produce bit-identical faulty runs.
+//!
+//! Both compare the engine only with itself, so one golden test also pins
+//! the exact trace of a small run under drop + delay + crash.
 
 use local_graphs::{gen, Graph};
 use local_model::{
@@ -219,4 +222,66 @@ fn faulty_runs_see_claimed_params() {
         .outcomes
         .iter()
         .all(|o| o.output() == Some(&(1u64 << 20))));
+}
+
+/// The exact fault trace of one small run under drop + delay + crash, in
+/// both models and at 1, 2 and 3 shards. No pinned artifact elsewhere
+/// exercises delays: a change to the order in which delivery visits slots,
+/// to the per-round decision stream, or to the rule that lets an on-time
+/// message supersede a delayed one shows up here as a changed count.
+#[test]
+fn fault_trace_matches_golden() {
+    // 1 + 3 + 6 + 12 + 24 = 46 vertices of degree 1 or 3.
+    let g = gen::complete_dary_tree(40, 3);
+    let spec = FaultSpec {
+        drop_p: 0.15,
+        delay_p: 0.3,
+        crash_p: 0.1,
+        crash_window: 8,
+    };
+    let plan = FaultPlan::sample(&g, &spec, 0xFA17);
+    // The message pattern is the same in both models (Mixer broadcasts
+    // until its horizon either way), so only the outputs tell them apart.
+    for (mode, golden) in [
+        (Mode::deterministic(), 0xcdaa_4ed9_6989_71ed_u64),
+        (Mode::randomized(0x5EED), 0x752e_b509_503c_509b),
+    ] {
+        for shards in [1usize, 2, 3] {
+            let run = Engine::new(&g, mode.clone()).execute(
+                &ExecSpec::default().with_faults(&plan).with_shards(shards),
+                &MixerProtocol,
+            );
+            // FNV-1a-style fold over every vertex's kind, round and output.
+            let fingerprint = run.outcomes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, o| {
+                let words = match o {
+                    local_model::Outcome::Halted { round, output } => {
+                        [1, u64::from(*round), *output]
+                    }
+                    local_model::Outcome::Crashed { round } => [2, u64::from(*round), 0],
+                    local_model::Outcome::Cut => [3, 0, 0],
+                };
+                words
+                    .iter()
+                    .fold(h, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+            });
+            let halt_rounds: u32 = run
+                .outcomes
+                .iter()
+                .filter_map(|o| match o {
+                    local_model::Outcome::Halted { round, .. } => Some(*round),
+                    _ => None,
+                })
+                .sum();
+            let at = format!("{mode:?}, shards = {shards}");
+            assert_eq!(fingerprint, golden, "outcomes, {at}");
+            assert_eq!((run.halted(), run.crashed(), run.cut()), (43, 3, 0), "{at}");
+            assert_eq!(halt_rounds, 169, "halt rounds, {at}");
+            assert_eq!((run.dropped, run.delayed), (99, 94), "{at}");
+            assert_eq!(
+                run.stats.messages_per_round,
+                [86, 86, 86, 63, 60, 0],
+                "{at}"
+            );
+        }
+    }
 }
